@@ -34,6 +34,9 @@ reproduce:
 examples:
 	for ex in examples/*.py; do echo "== $$ex"; python $$ex; done
 
+# Removes only the ignored throwaway outputs under benchmarks/results;
+# the checked-in artifacts there stay.
 clean:
-	rm -rf .pytest_cache .hypothesis .benchmarks benchmarks/results
+	rm -rf .pytest_cache .hypothesis .benchmarks
+	git clean -fqX -- benchmarks/results
 	find . -name __pycache__ -type d -exec rm -rf {} +

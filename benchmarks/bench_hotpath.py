@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Hot-path microbenchmarks: headers, codec, timers and delivery.
 
-Six kernels, each timing the optimized implementation against the
+Five kernels, each timing the optimized implementation against the
 baseline it replaced:
 
 ``header_hop``
@@ -43,20 +43,6 @@ baseline it replaced:
     memoryview zero-copy, which was built, measured slower at every
     site on CPython 3.11, and rejected (see docs/ARCHITECTURE.md).
     Bar: >= 1x (strictly faster).
-
-``pooled_deliver``
-    The steady-state deliver loop: decode a datagram, drop it at
-    delivery completion, recycle the ``Message`` shell through the
-    refcount-guarded pool — against allocating a fresh shell per
-    datagram.  On CPython 3.11 recycling is break-even with obmalloc
-    (pop + guard + strip costs about what ``__new__`` + dealloc does),
-    so this kernel is pinned as a *soundness and non-regression* gate,
-    not a speedup claim: the leak-check invariants must hold (zero
-    rejections, exactly one live shell in steady state) and recycling
-    must stay within 5% of raw allocation.  What the pool buys is
-    bounded shell churn with a safety proof, not nanoseconds; the raw-
-    speed wins of this pass live in the wheel and decoder kernels.
-    Bar: >= 0.95x.
 
 Timings use best-of-N (``min`` over ``timeit.repeat``), which is the
 stable estimator on noisy shared runners — the minimum approaches the
@@ -518,58 +504,6 @@ def kernel_decode_fanin(number: int, repeat: int) -> Dict[str, Any]:
     }
 
 
-def kernel_pooled_deliver(number: int, repeat: int) -> Dict[str, Any]:
-    delivers = 64
-    codec = WireCodec()
-    msg = Message(3, (3, 41), ("payload", 41), 64, dest=(1, 2, 3),
-                  headers={"fifo": 41})
-    wire = codec.encode(3, 7, msg, group=9)
-
-    def baseline():
-        Message.pool_clear()  # pool disabled: every decode allocates
-        for __ in range(delivers):
-            payload = codec.decode_datagram(wire)[3]
-            del payload
-
-    def optimized():
-        Message.pool_clear()
-        for __ in range(delivers):
-            payload = codec.decode_datagram(wire)[3]
-            Message._recycle(payload)
-
-    # Leak check: the pooled loop must recycle every shell it decodes
-    # and run the whole steady state on exactly one of them.
-    optimized()
-    stats = Message.pool_stats()
-    assert stats["rejected"] == 0 and stats["recycled"] == delivers
-    assert stats["new"] + stats["reused"] == delivers
-    assert stats["new"] == 1
-    Message.pool_clear()
-
-    # Honest economics (measured, CPython 3.11): pool pop + refcount
-    # guard + strip costs about what ``__new__`` + refcount dealloc
-    # does, and a steady-state deliver loop frees each shell by
-    # refcount, so the gen-0 counter never climbs and there is no
-    # collector pressure for the pool to relieve either.  The kernel
-    # therefore gates the pool's *soundness* (the asserts above) and
-    # pins recycling at within-5%-of-allocation so a future regression
-    # in _recycle or _from_wire cannot hide.
-    number = max(1, number // 40)
-    baseline_us, optimized_us = _compare_us(baseline, optimized, number,
-                                            repeat)
-    Message.pool_clear()
-    speedup = baseline_us / optimized_us
-    return {
-        "delivers": delivers,
-        "steady_state_shells": stats["new"],
-        "baseline_us": round(baseline_us, 3),
-        "optimized_us": round(optimized_us, 3),
-        "speedup": round(speedup, 3),
-        "threshold": 0.95,
-        "pass": speedup >= 0.95,
-    }
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -592,7 +526,6 @@ def main(argv=None) -> int:
         "multicast_fanout": kernel_multicast_fanout(args.number, args.repeat),
         "timer_churn": kernel_timer_churn(args.number, args.repeat),
         "decode_fanin": kernel_decode_fanin(args.number, args.repeat),
-        "pooled_deliver": kernel_pooled_deliver(args.number, args.repeat),
     }
     for name, result in kernels.items():
         verdict = "PASS" if result["pass"] else "FAIL"

@@ -29,16 +29,15 @@ from typing import Dict, List, Optional, Sequence
 from ..core.oracle import FleetOracle, RateMeter
 from ..core.switchable import GroupHandle, ProtocolSpec
 from ..errors import ReproError, SwitchError
-from ..net.ptp import LatencyMatrix, PointToPointNetwork
 from ..obs.bus import Bus
 from ..protocols.reliable import ReliableLayer
 from ..protocols.sequencer import SequencerLayer
 from ..protocols.tokenring import TokenRingLayer
-from ..runtime import AsyncioRuntime, make_runtime
 from ..sim.rng import RandomStreams
 from ..sim.seeding import fleet_group_streams, fleet_sender_stream
 from ..stack.layer import Layer
 from ..stack.membership import Group
+from ..workloads.drive import check_agreement, open_mesh
 from ..workloads.generator import PoissonSender
 from ..workloads.latency import LatencyProbe
 from .manager import GroupManager
@@ -398,88 +397,86 @@ def run_fleet(
     outcomes of the unpartitioned run.
     """
     config = config or FleetConfig()
-    runtime = make_runtime(config.runtime)
     streams = RandomStreams(config.seed)
+    with open_mesh(
+        config.runtime,
+        config.nodes,
+        streams,
+        config.latency,
+        base_port=config.base_port,
+    ) as (runtime, network):
+        # The fleet bus carries the per-group delivery counters the oracle
+        # reads.  Metrics only: max_events=0 keeps the event list empty
+        # even if a caller-supplied bus arrives enabled.
+        fleet_bus = bus if bus is not None else Bus(clock=runtime, max_events=0)
+        fleet_bus.clock = runtime
 
-    if isinstance(runtime, AsyncioRuntime):
-        from ..net.udp import UdpNetwork
-
-        network = UdpNetwork(runtime, config.nodes, base_port=config.base_port)
-        runtime.run_task(network.open())
-        reliable = True
-    else:
-        network = PointToPointNetwork(
-            runtime,
-            config.nodes,
-            latency=LatencyMatrix(config.nodes, config.latency),
-            rng=streams,
-        )
-        reliable = False
-
-    # The fleet bus carries the per-group delivery counters the oracle
-    # reads.  Metrics only: max_events=0 keeps the event list empty even
-    # if a caller-supplied bus arrives enabled.
-    fleet_bus = bus if bus is not None else Bus(clock=runtime, max_events=0)
-    fleet_bus.clock = runtime
-
-    oracle = FleetOracle(
-        metric_factory=lambda gid: RateMeter(
-            lambda: runtime.now,
-            lambda: fleet_bus.metrics.counter(f"fleet.delivered[g{gid}]"),
-        ),
-        high_threshold=config.high_threshold,
-        low_protocol=SLOT_NAMES[0],
-        high_protocol=SLOT_NAMES[1],
-    )
-    manager = GroupManager(runtime, network, oracle=oracle)
-
-    plane = None
-    server = None
-    if config.telemetry:
-        from ..obs.telemetry import SLOTarget, TelemetryConfig, TelemetryPlane
-
-        slos = []
-        if config.slo_p99_ms is not None:
-            slos.append(
-                SLOTarget("delivery-p99", "delivery_p99_ms", config.slo_p99_ms)
-            )
-        if config.slo_switch_s is not None:
-            slos.append(
-                SLOTarget(
-                    "time-to-switch", "switch_duration_s", config.slo_switch_s
-                )
-            )
-        if config.slo_ratio is not None:
-            slos.append(
-                SLOTarget("delivery-ratio", "delivery_ratio", config.slo_ratio)
-            )
-        plane = TelemetryPlane(
-            runtime,
-            fleet_bus,
-            TelemetryConfig(
-                window=config.telemetry_window,
-                history=config.telemetry_history,
-                slos=slos,
+        oracle = FleetOracle(
+            metric_factory=lambda gid: RateMeter(
+                lambda: runtime.now,
+                lambda: fleet_bus.metrics.counter(f"fleet.delivered[g{gid}]"),
             ),
+            high_threshold=config.high_threshold,
+            low_protocol=SLOT_NAMES[0],
+            high_protocol=SLOT_NAMES[1],
         )
-        plane.attach_oracle(oracle)
-        plane.attach_manager(manager)
+        manager = GroupManager(runtime, network, oracle=oracle)
+
+        plane = (
+            _telemetry_plane(config, runtime, fleet_bus, oracle, manager)
+            if config.telemetry
+            else None
+        )
+        server = None
         if config.expo_port is not None:
             from ..obs.telemetry.expo import TelemetryServer
 
             server = TelemetryServer(plane, port=config.expo_port)
             runtime.run_task(server.open())
 
-    try:
-        return _drive(
-            runtime, manager, fleet_bus, config, streams, plane, server,
-            indices=indices,
-        )
-    finally:
-        if isinstance(runtime, AsyncioRuntime):
+        try:
+            return _drive(
+                runtime, manager, fleet_bus, config, streams, plane, server,
+                indices=indices,
+            )
+        finally:
             if server is not None:
                 runtime.run_task(server.aclose())
-            runtime.close()
+
+
+def _telemetry_plane(
+    config: FleetConfig, runtime, fleet_bus: Bus, oracle, manager
+):
+    """The live telemetry plane over the fleet bus, with the config's SLOs."""
+    from ..obs.telemetry import SLOTarget, TelemetryConfig, TelemetryPlane
+
+    slos = []
+    if config.slo_p99_ms is not None:
+        slos.append(
+            SLOTarget("delivery-p99", "delivery_p99_ms", config.slo_p99_ms)
+        )
+    if config.slo_switch_s is not None:
+        slos.append(
+            SLOTarget(
+                "time-to-switch", "switch_duration_s", config.slo_switch_s
+            )
+        )
+    if config.slo_ratio is not None:
+        slos.append(
+            SLOTarget("delivery-ratio", "delivery_ratio", config.slo_ratio)
+        )
+    plane = TelemetryPlane(
+        runtime,
+        fleet_bus,
+        TelemetryConfig(
+            window=config.telemetry_window,
+            history=config.telemetry_history,
+            slos=slos,
+        ),
+    )
+    plane.attach_oracle(oracle)
+    plane.attach_manager(manager)
+    return plane
 
 
 def _drive(
@@ -498,7 +495,6 @@ def _drive(
     plan = plan_sequencers(config)
     handles: Dict[int, GroupHandle] = {}
     probes: Dict[int, LatencyProbe] = {}
-    counters: Dict[int, object] = {}
     casts: Dict[int, int] = {}
     hot: Dict[int, bool] = {}
     sequencers: Dict[int, int] = {}
@@ -527,7 +523,6 @@ def _drive(
         # Delivery counting: one group-labelled scope per group feeds
         # both the oracle's rate meter and the final per-group report.
         scope = fleet_bus.scoped(None, gid)
-        counters[gid] = scope
         if plane is not None:
             coordinator = handle.stacks[handle.group.coordinator]
             plane.watch_group(
@@ -619,8 +614,7 @@ def _drive(
     cold_switched = 0
     for gid, handle in handles.items():
         finals = handle.current_protocols
-        if len(set(finals.values())) != 1:
-            violations.append(f"group {gid} members disagree: {finals}")
+        violations += check_agreement(finals, f"group {gid} members")
         final = finals[handle.group.coordinator]
         switched = final == SLOT_NAMES[1]
         if switched:

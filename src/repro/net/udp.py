@@ -36,7 +36,6 @@ from ..errors import NetworkError
 from ..obs.bus import Bus
 from ..runtime.aio import AsyncioRuntime
 from ..sim.monitor import Counter
-from ..stack.message import Message
 from .base import Endpoint, Network
 from .codec import FRAME_OVERHEAD, WireCodec
 from .packet import Packet
@@ -148,14 +147,6 @@ class UdpNetwork(Network):
             self.obs.count("net.bytes_delivered", len(data))
         packet = Packet(src, dst, payload, len(data), self.runtime.now, group)
         self._deliver(packet)
-        # Delivery completed: the decoded message's one-way trip up the
-        # stack is over.  Drop the packet (it holds the last structural
-        # reference) and offer the shell back to the pool — the refcount
-        # guard inside _recycle leaves it alone if any layer or callback
-        # retained it.
-        del packet
-        if type(payload) is Message:
-            Message._recycle(payload)
 
     # ------------------------------------------------------------------
     # Transmission

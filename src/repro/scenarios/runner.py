@@ -9,11 +9,12 @@ phases retune the workload and — on the simulated mesh — swap the
 live :class:`~repro.net.faults.FaultPlan` and base latency at each
 phase boundary.
 
-After the phases play out and the group settles, the scorer applies the
-chaos harness's correctness oracle (convergence, no duplicates,
-per-slot order agreement) *plus* the scenario's adaptation contract:
-did the group end on the expected protocol, with no more switches than
-allowed, fast enough after the drift began, without losing workload?
+After the phases play out and the group settles, the runner applies the
+group oracle of :mod:`repro.workloads.drive` (convergence, no
+duplicates, per-slot order agreement) and the scorer adds the
+scenario's adaptation contract: did the group end on the expected
+protocol, with no more switches than allowed, fast enough after the
+drift began, without losing workload?
 Switch drain cost comes from the obs bus's ``switch.duration_s``
 histogram and the latency probe's worst inter-delivery hiccup.
 
@@ -29,19 +30,18 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.hybrid import AdaptiveController
 from ..core.oracle import HysteresisOracle
-from ..core.switchable import ProtocolSpec, build_switch_group
+from ..core.switchable import GroupHandle, ProtocolSpec, build_group_handle
 from ..core.token_switch import FaultToleranceConfig
 from ..errors import ScenarioError
 from ..net.faults import FaultPlan
-from ..net.ptp import LatencyMatrix, PointToPointNetwork
+from ..net.ptp import PointToPointNetwork
 from ..obs.bus import Bus
 from ..protocols.reliable import ReliableLayer
 from ..protocols.sequencer import SequencerLayer
 from ..protocols.tokenring import TokenRingLayer
-from ..runtime import AsyncioRuntime, make_runtime
 from ..sim.rng import RandomStreams
 from ..stack.membership import Group
-from ..testing.chaos import check_slot_order
+from ..workloads.drive import DeliveryLedger, check_group, open_mesh, settle
 from ..workloads.generator import Payload, PoissonSender
 from ..workloads.latency import LatencyProbe
 from .signals import SignalTracker
@@ -199,42 +199,26 @@ def run_scenario(
             f"scenario {spec.name!r} declares runtimes {list(spec.runtimes)}, "
             f"not {runtime_name!r}"
         )
-    runtime = make_runtime(runtime_name)
     if bus is None:
-        bus = Bus(clock=runtime, enabled=True)
-    else:
-        bus.clock = runtime
+        bus = Bus(enabled=True)
     streams = RandomStreams(spec.seed)
-    members = spec.group.members
-
-    if isinstance(runtime, AsyncioRuntime):
-        from ..net.udp import UdpNetwork
-
-        network = UdpNetwork(runtime, members, base_port=base_port)
-        runtime.run_task(network.open())
-    else:
-        network = PointToPointNetwork(
-            runtime,
-            members,
-            latency=LatencyMatrix(
-                members, spec.phases[0].net.latency_ms / 1e3
-            ),
-            faults=_plan(spec.phases[0]),
-            rng=streams,
-        )
-    network.instrument(bus)
-
-    try:
+    first = spec.phases[0]
+    with open_mesh(
+        runtime_name,
+        spec.group.members,
+        streams,
+        first.net.latency_ms / 1e3,
+        faults=_plan(first),
+        bus=bus,
+        base_port=base_port,
+    ) as (runtime, network):
         return _drive(runtime, network, spec, streams, bus)
-    finally:
-        if isinstance(runtime, AsyncioRuntime):
-            runtime.close()
 
 
 def _drive(runtime, network, spec: ScenarioSpec, streams, bus) -> ScenarioVerdict:
     group = Group.of_size(spec.group.members)
     sim_network = isinstance(network, PointToPointNetwork)
-    stacks = build_switch_group(
+    handle = build_group_handle(
         runtime,
         network,
         group,
@@ -248,14 +232,10 @@ def _drive(runtime, network, spec: ScenarioSpec, streams, bus) -> ScenarioVerdic
         fault_tolerance=FaultToleranceConfig(),
         bus=bus,
     )
+    stacks = handle.stacks
 
     # --- observation ---------------------------------------------------
-    deliveries: Dict[int, List[tuple]] = {r: [] for r in group}
-    for rank, stack in stacks.items():
-        stack.on_deliver(
-            lambda msg, rank=rank: deliveries[rank].append(msg.mid)
-        )
-    cast_slot: Dict[tuple, str] = {}
+    ledger = DeliveryLedger(handle)
     probe = LatencyProbe(runtime, warmup=WARMUP)
     probe.attach_all(stacks)
 
@@ -268,12 +248,7 @@ def _drive(runtime, network, spec: ScenarioSpec, streams, bus) -> ScenarioVerdic
     senders: List[PoissonSender] = []
     for rank in group:
         stack = stacks[rank]
-
-        def on_send(msg, stack=stack):
-            cast_slot[msg.mid] = stack.core.send_slot
-            tracker.record_cast()
-
-        stack.on_send(on_send)
+        stack.on_send(lambda msg: tracker.record_cast())
         senders.append(
             PoissonSender(
                 runtime,
@@ -339,36 +314,13 @@ def _drive(runtime, network, spec: ScenarioSpec, streams, bus) -> ScenarioVerdic
     controller.stop()
     for sender in senders:
         sender.stop()
-    violations: List[str] = []
-    settle_time = spec.duration
-    for __ in range(spec.settle.windows):
-        runtime.run_for(spec.settle.window)
-        settle_time = runtime.now
-        if not any(stacks[r].switching for r in group) and (
-            len({stacks[r].current_protocol for r in group}) == 1
-        ):
-            break
-    else:
-        violations.append(
-            f"group did not converge within {spec.settle.windows} settle "
-            f"windows (still switching: "
-            f"{[r for r in group if stacks[r].switching]})"
-        )
-
+    settle_time, violations = settle(
+        runtime, handle, spec.settle.windows, spec.settle.window
+    )
+    violations += check_group(handle, ledger)
     return _score(
-        spec,
-        runtime,
-        bus,
-        stacks,
-        group,
-        deliveries,
-        cast_slot,
-        probe,
-        controller,
-        completions,
-        observer_deliveries,
-        settle_time,
-        violations,
+        spec, runtime, bus, handle, ledger, probe, controller, completions,
+        observer_deliveries, settle_time, violations,
     )
 
 
@@ -376,10 +328,8 @@ def _score(
     spec: ScenarioSpec,
     runtime,
     bus: Bus,
-    stacks,
-    group,
-    deliveries: Dict[int, List[tuple]],
-    cast_slot: Dict[tuple, str],
+    handle: GroupHandle,
+    ledger: DeliveryLedger,
     probe: LatencyProbe,
     controller: AdaptiveController,
     completions: List[Tuple[float, float]],
@@ -387,30 +337,19 @@ def _score(
     settle_time: float,
     violations: List[str],
 ) -> ScenarioVerdict:
-    """Fold the raw run outcome into a scored verdict."""
+    """Add the scenario's adaptation contract to the run's violations and
+    fold the outcome into a scored verdict."""
     expect = spec.expect
-    live = list(group)
-    finals = {r: stacks[r].current_protocol for r in live}
+    finals = handle.current_protocols
 
-    # Correctness oracle (shared with the chaos harness).
-    if len(set(finals.values())) > 1:
-        violations.append(f"members disagree on the protocol: {finals}")
-    for rank in live:
-        mids = deliveries[rank]
-        if len(mids) != len(set(mids)):
-            dupes = len(mids) - len(set(mids))
-            violations.append(f"member {rank} delivered {dupes} duplicates")
-    violations.extend(
-        check_slot_order(deliveries, cast_slot, live, SLOT_NAMES)
-    )
-
-    # Adaptation contract.
     wrong = {r: p for r, p in finals.items() if p != expect.protocol}
     if wrong:
         violations.append(
             f"expected the group on {expect.protocol!r}, but {wrong}"
         )
-    switches_completed = stacks[group.coordinator].core.switches_completed
+    switches_completed = handle.stacks[
+        handle.group.coordinator
+    ].core.switches_completed
     if switches_completed > expect.max_switches:
         violations.append(
             f"{switches_completed} switches completed, expected at most "
@@ -437,8 +376,8 @@ def _score(
                 f"expected <= {expect.max_time_to_switch}s"
             )
 
-    casts = len(cast_slot)
-    delivered = {r: len(deliveries[r]) for r in live}
+    casts = len(ledger.cast_slot)
+    delivered = ledger.delivered(handle.group)
     ratio = min(
         (count / casts for count in delivered.values()), default=0.0
     ) if casts else 0.0

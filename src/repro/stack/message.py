@@ -29,9 +29,8 @@ No Replay property (Table 1) is about bodies, and its Composable failure
 
 from __future__ import annotations
 
-from sys import getrefcount
 from types import MappingProxyType
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, Mapping, Optional, Tuple, Union
 
 from ..errors import StackError
 
@@ -129,44 +128,6 @@ def _rebuild(sender, mid, body, body_size, dest, headers, header_size):
     return Message(sender, mid, body, body_size, dest, headers, header_size)
 
 
-# ----------------------------------------------------------------------
-# Message pooling for the steady-state deliver path
-# ----------------------------------------------------------------------
-#: Recycled :class:`Message` shells for the wire-decode path.  The
-#: transport decodes thousands of messages per second whose lifetime is
-#: exactly one synchronous trip up the stack; pooling the shell turns
-#: that churn into two list ops instead of an allocation per datagram.
-_POOL: List["Message"] = []
-
-#: Never hold more shells than a burst plausibly needs.
-_POOL_CAP = 1024
-
-# Pool telemetry.  Module globals on purpose: a class-attribute
-# increment would bump Message's type version tag on every decode,
-# flushing CPython's per-type method cache and taxing every subsequent
-# attribute lookup on the class — measurably slower than the pool wins.
-_POOL_NEW = 0       # shells allocated fresh
-_POOL_REUSED = 0    # shells served from the pool
-_POOL_RECYCLED = 0  # shells returned to the pool
-_POOL_REJECTED = 0  # recycle refused (still referenced, or pool full)
-
-
-def _measure_exclusive_refs() -> int:
-    """Refcount of an object reachable only through the recycle call
-    shape — one caller local, one parameter, and ``getrefcount``'s own
-    argument.  Measured at import so the exclusivity guard tracks the
-    interpreter's calling convention rather than hard-coding it."""
-
-    def recycle_shape(msg: object) -> int:
-        return getrefcount(msg)
-
-    probe = object()
-    return recycle_shape(probe)
-
-
-_EXCLUSIVE_REFS = _measure_exclusive_refs()
-
-
 class Message:
     """An immutable stack message.
 
@@ -216,17 +177,8 @@ class Message:
         Trusted input (our own wire codec): skips validation.  The
         codec builds ``chain`` link by link in push order using the
         same ``(mask | key_bit, parent, key, value)`` shape as
-        :meth:`with_header`.  Shells come from the recycle pool when
-        one is free; a recycled shell is indistinguishable from a
-        fresh ``__new__`` because :meth:`_recycle` strips every slot
-        (including the lazy ``_hmap``/``_pop`` caches)."""
-        global _POOL_NEW, _POOL_REUSED
-        if _POOL:
-            msg = _POOL.pop()
-            _POOL_REUSED += 1
-        else:
-            msg = cls.__new__(cls)
-            _POOL_NEW += 1
+        :meth:`with_header`."""
+        msg = cls.__new__(cls)
         msg.sender = sender
         msg.mid = mid
         msg.body = body
@@ -235,64 +187,6 @@ class Message:
         msg._chain = chain
         msg._header_size = header_size
         return msg
-
-    @classmethod
-    def _recycle(cls, msg: "Message") -> bool:
-        """Return a delivered message's shell to the pool, if safe.
-
-        Called by the transport at delivery completion, when the
-        decoded message's one-way trip up the stack has finished.  The
-        refcount guard makes this sound rather than merely plausible:
-        if *anything* — a retransmit buffer, an ordering queue, an
-        application callback — retained the message, the shell is left
-        alone and the guard reports a rejection instead of corrupting
-        a live object.  Returns True when the shell was pooled.
-        """
-        global _POOL_RECYCLED, _POOL_REJECTED
-        if getrefcount(msg) != _EXCLUSIVE_REFS or len(_POOL) >= _POOL_CAP:
-            _POOL_REJECTED += 1
-            return False
-        # Strip exactly the slots that can pin unbounded object graphs
-        # — the body, the header chain, and the two lazy caches.  The
-        # rest (ints, the mid pair, a rank tuple) is bounded stale data
-        # that the next ``_from_wire`` overwrites anyway; not touching
-        # those slots keeps recycling competitive with the allocator.
-        # The caches are overwritten with None rather than deleted — a
-        # plain store is an order of magnitude cheaper than raising
-        # AttributeError when the slot was never filled (the common
-        # case), and both cache readers already treat None as "empty".
-        msg.body = None
-        msg._chain = None
-        msg._hmap = None
-        msg._pop = None
-        _POOL.append(msg)
-        _POOL_RECYCLED += 1
-        return True
-
-    @classmethod
-    def pool_stats(cls) -> Dict[str, int]:
-        """Lifetime pool counters plus the current free-shell count.
-
-        The leak-check invariant asserted by the tests: every shell
-        ever acquired (``new + reused``) is either free in the pool,
-        was refused recycling while still referenced (``rejected``),
-        or is still owned by a caller — so ``recycled <= new + reused``
-        and ``free <= recycled`` always hold.
-        """
-        return {
-            "new": _POOL_NEW,
-            "reused": _POOL_REUSED,
-            "recycled": _POOL_RECYCLED,
-            "rejected": _POOL_REJECTED,
-            "free": len(_POOL),
-        }
-
-    @classmethod
-    def pool_clear(cls) -> None:
-        """Empty the pool and zero the counters (test isolation)."""
-        global _POOL_NEW, _POOL_REUSED, _POOL_RECYCLED, _POOL_REJECTED
-        _POOL.clear()
-        _POOL_NEW = _POOL_REUSED = _POOL_RECYCLED = _POOL_REJECTED = 0
 
     def _derive(self, body, body_size, dest, chain, header_size) -> "Message":
         """Allocate a sibling sharing this message's identity."""
@@ -348,10 +242,7 @@ class Message:
             # Memoized: a multicast hands the *same* message object to
             # every receiver, so all pops after the first are one load.
             try:
-                # Raises AttributeError for an unset slot *and* for the
-                # None left by Message._recycle (None has no
-                # _header_size) — both mean "no memo".
-                memo = self._pop
+                memo = self._pop  # AttributeError: no memo yet
                 if memo._header_size == shrunk:
                     return memo
             except AttributeError:
@@ -400,16 +291,11 @@ class Message:
         return _chain_get(chain, key) is not _MISSING
 
     def _materialized(self) -> Dict[str, Any]:
-        # The cache slot has three states: filled, never set (fresh
-        # shell), or None (stripped by ``_recycle``).
         try:
-            mapping = self._hmap
-            if mapping is not None:
-                return mapping
+            return self._hmap
         except AttributeError:
-            pass
-        mapping = self._hmap = _materialize(self._chain)
-        return mapping
+            mapping = self._hmap = _materialize(self._chain)
+            return mapping
 
     @property
     def headers(self) -> Mapping[str, Any]:

@@ -34,24 +34,23 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.switchable import ProtocolSpec, SwitchableStack, build_switch_group
+from ..core.switchable import ProtocolSpec, build_group_handle
 from ..core.token_switch import FaultToleranceConfig
 from ..errors import SimulationError
 from ..net.faults import FaultPlan, Intercept
-from ..net.ptp import LatencyMatrix, PointToPointNetwork
 from ..obs.bus import Bus
 from ..protocols.reliable import ReliableLayer
 from ..protocols.sequencer import SequencerLayer
 from ..protocols.tokenring import TokenRingLayer
-from ..runtime import SimRuntime, Timeline
+from ..runtime import Timeline
 from ..sim.rng import RandomStreams
 from ..stack.membership import Group
+from ..workloads.drive import DeliveryLedger, check_group, open_mesh, settle
 
 __all__ = [
     "ChaosConfig",
     "ChaosResult",
     "CrashWindow",
-    "check_slot_order",
     "run_chaos",
     "run_chaos_cell",
 ]
@@ -202,9 +201,6 @@ def run_chaos(
     a chaos failure can be exported and inspected in Perfetto.
     """
     rng = random.Random(config.seed)
-    sim = SimRuntime()
-    if bus is not None:
-        bus.clock = sim
     streams = RandomStreams(config.seed)
     plan = FaultPlan(
         loss_rate=config.control_loss,
@@ -213,17 +209,15 @@ def run_chaos(
         channels=frozenset({0}),
         intercept=config.intercept,
     )
-    network = PointToPointNetwork(
-        sim,
-        config.members,
-        latency=LatencyMatrix(config.members, config.latency),
-        faults=plan,
-        rng=streams,
-    )
-    if bus is not None:
-        network.instrument(bus)
+    with open_mesh(
+        "sim", config.members, streams, config.latency, faults=plan, bus=bus
+    ) as (sim, network):
+        return _drive(sim, network, config, rng, streams, bus)
+
+
+def _drive(sim, network, config: ChaosConfig, rng, streams, bus) -> ChaosResult:
     group = Group.of_size(config.members)
-    stacks = build_switch_group(
+    handle = build_group_handle(
         sim,
         network,
         group,
@@ -238,14 +232,10 @@ def run_chaos(
         fault_tolerance=config.ft,
         bus=bus,
     )
+    stacks = handle.stacks
 
     # --- observation ---------------------------------------------------
-    deliveries: Dict[int, List[tuple]] = {r: [] for r in group}
-    for rank, stack in stacks.items():
-        stack.on_deliver(
-            lambda msg, rank=rank: deliveries[rank].append(msg.mid)
-        )
-    cast_slot: Dict[tuple, str] = {}  # mid -> slot it was sent on
+    ledger = DeliveryLedger(handle)
     aborts: List[tuple] = []
     for rank, stack in stacks.items():
         stack.on_switch_aborted(
@@ -254,9 +244,7 @@ def run_chaos(
 
     # --- the scripted timeline -----------------------------------------
     timeline = Timeline()
-    crashed_ever = set()
     for crash in config.crashes:
-        crashed_ever.add(crash.rank)
         timeline.at(
             crash.at,
             lambda r=crash.rank: network.fail_node(r),
@@ -272,10 +260,7 @@ def run_chaos(
     def cast_from(rank: int) -> None:
         if not network.node_alive(rank):
             return  # a dead member generates no load
-        stack = stacks[rank]
-        slot = stack.core.send_slot
-        mid = stack.cast(("chaos", rank, len(cast_slot)))
-        cast_slot[mid] = slot
+        stacks[rank].cast(("chaos", rank, len(ledger.cast_slot)))
 
     time = 0.0
     while True:
@@ -304,21 +289,13 @@ def run_chaos(
 
     # --- run, then let the group settle --------------------------------
     sim.run_until(config.duration)
-    violations: List[str] = []
-    settle_time = config.duration
-    for __ in range(config.settle):
-        # Run the window first: even a converged group still has casts
-        # in flight at the horizon that must land before the oracle runs.
-        sim.run_for(config.settle_window)
-        settle_time = sim.now
-        if _converged(stacks, network):
-            break
-    else:
-        violations.append(
-            f"group did not converge within {config.settle} settle windows "
-            f"(still switching: "
-            f"{[r for r, s in stacks.items() if s.switching]})"
-        )
+    settle_time, violations = settle(
+        sim,
+        handle,
+        config.settle,
+        config.settle_window,
+        alive=network.node_alive,
+    )
 
     # --- oracle ---------------------------------------------------------
     live = [
@@ -326,28 +303,16 @@ def run_chaos(
         for r in group
         if r not in {c.rank for c in config.crashes if c.permanent}
     ]
-    finals = {r: stacks[r].current_protocol for r in live}
-    if len(set(finals.values())) > 1:
-        violations.append(f"live members disagree on the protocol: {finals}")
-
-    for rank in live:
-        mids = deliveries[rank]
-        if len(mids) != len(set(mids)):
-            dupes = len(mids) - len(set(mids))
-            violations.append(f"member {rank} delivered {dupes} duplicates")
-
-    violations.extend(
-        check_slot_order(deliveries, cast_slot, live, PROTOCOL_NAMES)
-    )
+    violations += check_group(handle, ledger, live, who="live members")
 
     suspicions = sum(
         stacks[r].protocol.stats.get("suspected") for r in group
     )
     quiet = not config.crashes and not aborts and suspicions == 0
     if quiet:
-        expected = set(cast_slot)
+        expected = set(ledger.cast_slot)
         for rank in live:
-            missing = expected - set(deliveries[rank])
+            missing = expected - set(ledger.deliveries[rank])
             if missing:
                 violations.append(
                     f"member {rank} missed {len(missing)} casts in a "
@@ -366,9 +331,9 @@ def run_chaos(
     return ChaosResult(
         config=config,
         violations=violations,
-        final_protocols=finals,
-        casts=len(cast_slot),
-        delivered={r: len(deliveries[r]) for r in live},
+        final_protocols={r: stacks[r].current_protocol for r in live},
+        casts=len(ledger.cast_slot),
+        delivered=ledger.delivered(live),
         switches_completed=counters.get("globally_complete", 0),
         switches_aborted=len({outcome.switch_id for __, outcome in aborts}),
         counters=counters,
@@ -387,55 +352,3 @@ def run_chaos_cell(cell) -> ChaosResult:
     them serially, in cell order.
     """
     return run_chaos(cell["config"])
-
-
-def _converged(
-    stacks: Dict[int, SwitchableStack], network: PointToPointNetwork
-) -> bool:
-    live = [r for r in stacks if network.node_alive(r)]
-    if any(stacks[r].switching for r in live):
-        return False
-    return len({stacks[r].current_protocol for r in live}) == 1
-
-
-def check_slot_order(
-    deliveries: Dict[int, List[tuple]],
-    cast_slot: Dict[tuple, str],
-    live: Sequence[int],
-    slots: Sequence[str],
-) -> List[str]:
-    """Pairwise order agreement, per sending slot.
-
-    Both subordinate protocols are totally ordered, so two members that
-    both delivered messages m1 and m2 (cast on the same slot) must agree
-    on their relative order — under crashes, aborts and reverts alike.
-    Cross-slot interleavings may legitimately differ after an abort.
-
-    Shared by the chaos harness and the ``repro run`` switch demo (the
-    latter runs it over real-UDP executions too).
-    """
-    violations = []
-    positions: Dict[int, Dict[str, Dict[tuple, int]]] = {}
-    for rank in live:
-        per_slot: Dict[str, Dict[tuple, int]] = {}
-        for index, mid in enumerate(deliveries[rank]):
-            slot = cast_slot.get(mid)
-            if slot is not None:
-                per_slot.setdefault(slot, {})[mid] = index
-        positions[rank] = per_slot
-    ranks = list(live)
-    for i, a in enumerate(ranks):
-        for b in ranks[i + 1 :]:
-            for slot in slots:
-                pos_a = positions[a].get(slot, {})
-                pos_b = positions[b].get(slot, {})
-                common = sorted(
-                    set(pos_a) & set(pos_b), key=lambda m: pos_a[m]
-                )
-                order_b = [pos_b[m] for m in common]
-                if order_b != sorted(order_b):
-                    violations.append(
-                        f"members {a} and {b} disagree on slot {slot!r} "
-                        f"delivery order"
-                    )
-    return violations

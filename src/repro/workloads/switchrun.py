@@ -12,9 +12,9 @@ oracle, on either
 
 The run casts Poisson traffic from every member, requests one
 sequencer→tokenring switch mid-run at the coordinator, lets the group
-settle, and then applies the chaos harness's oracle: convergence (no
-member stuck mid-switch, all on the target protocol), no duplicate
-deliveries, and per-slot delivery-order agreement.  ``repro run``
+settle, and then applies the group oracle of :mod:`repro.workloads.drive`:
+convergence (no member stuck mid-switch, all on the target protocol), no
+duplicate deliveries, and per-slot delivery-order agreement.  ``repro run``
 exposes it from the command line; the parity and smoke tests drive it
 directly.
 """
@@ -26,17 +26,15 @@ from typing import Dict, List, Optional
 
 from ..core.switchable import ProtocolSpec, build_group_handle
 from ..errors import ReproError
-from ..net.ptp import LatencyMatrix, PointToPointNetwork
 from ..obs.bus import Bus
 from ..protocols.reliable import ReliableLayer
 from ..protocols.sequencer import SequencerLayer
 from ..protocols.tokenring import TokenRingLayer
-from ..runtime import AsyncioRuntime, make_runtime
 from ..sim.rng import RandomStreams
 from ..stack.batching import BatchingLayer
 from ..stack.layer import Layer
 from ..stack.membership import Group
-from ..testing.chaos import check_slot_order
+from .drive import DeliveryLedger, check_group, open_mesh, settle
 from .generator import PoissonSender
 from .latency import LatencyProbe
 
@@ -147,7 +145,7 @@ class SwitchRunResult:
         return "\n".join(lines)
 
 
-def _specs(config: Optional[SwitchRunConfig] = None) -> List[ProtocolSpec]:
+def _specs(config: SwitchRunConfig) -> List[ProtocolSpec]:
     # ReliableLayer under each total-order layer: a no-op on the loss-free
     # simulated mesh, real NAK/retransmit protection on the UDP runtime.
     # With max_batch > 1 a BatchingLayer tops each slot — above the
@@ -155,7 +153,7 @@ def _specs(config: Optional[SwitchRunConfig] = None) -> List[ProtocolSpec]:
     # below the switching core so SP send counts stay per-message.
     def data_layers(r: int, order_layer: Layer) -> List[Layer]:
         layers: List[Layer] = []
-        if config is not None and config.max_batch > 1:
+        if config.max_batch > 1:
             layers.append(BatchingLayer(config.max_batch, config.linger))
         layers.append(order_layer)
         layers.append(ReliableLayer())
@@ -179,145 +177,84 @@ def run_switch_demo(
     The caller exports the bus afterwards (see :mod:`repro.obs.export`).
     """
     config = config or SwitchRunConfig()
-    runtime = make_runtime(config.runtime)
-    if bus is not None:
-        bus.clock = runtime
     streams = RandomStreams(config.seed)
-
-    if isinstance(runtime, AsyncioRuntime):
-        from ..net.udp import UdpNetwork
-
-        network = UdpNetwork(
-            runtime, config.members, base_port=config.base_port
-        )
-        runtime.run_task(network.open())
-    else:
-        network = PointToPointNetwork(
-            runtime,
-            config.members,
-            latency=LatencyMatrix(config.members, config.latency),
-            rng=streams,
-        )
-
-    if bus is not None:
-        network.instrument(bus)
-
-    try:
-        return _drive(runtime, network, config, streams, bus)
-    finally:
-        if isinstance(runtime, AsyncioRuntime):
-            runtime.close()
-
-
-def _drive(
-    runtime, network, config: SwitchRunConfig, streams, bus=None
-) -> SwitchRunResult:
-    group = Group.of_size(config.members)
-    # A single-group run is a fleet of size one: the same GroupHandle
-    # lifecycle the fleet's GroupManager drives at thousands.
-    handle = build_group_handle(
-        runtime,
-        network,
-        group,
-        _specs(config),
-        initial=SLOT_NAMES[0],
-        variant="token",
-        token_interval=config.token_interval,
-        streams=streams,
+    with open_mesh(
+        config.runtime,
+        config.members,
+        streams,
+        config.latency,
         bus=bus,
-    )
-    stacks = handle.stacks
-
-    # --- observation ---------------------------------------------------
-    deliveries: Dict[int, List[tuple]] = {r: [] for r in group}
-    for rank, stack in stacks.items():
-        stack.on_deliver(
-            lambda msg, rank=rank: deliveries[rank].append(msg.mid)
-        )
-    cast_slot: Dict[tuple, str] = {}
-    probe = LatencyProbe(runtime, warmup=config.warmup)
-    probe.attach_all(stacks)
-
-    senders = []
-    for rank in group:
-        stack = stacks[rank]
-        stack.on_send(
-            lambda msg, stack=stack: cast_slot.__setitem__(
-                msg.mid, stack.core.send_slot
-            )
-        )
-        sender = PoissonSender(
+        base_port=config.base_port,
+    ) as (runtime, network):
+        group = Group.of_size(config.members)
+        # A single-group run is a fleet of size one: the same GroupHandle
+        # lifecycle the fleet's GroupManager drives at thousands.
+        handle = build_group_handle(
             runtime,
-            stack,
-            rate=config.rate,
-            rng=streams.stream(f"workload{rank}"),
-            body_size=config.body_size,
+            network,
+            group,
+            _specs(config),
+            initial=SLOT_NAMES[0],
+            variant="token",
+            token_interval=config.token_interval,
+            streams=streams,
+            bus=bus,
         )
-        sender.start()
-        senders.append(sender)
+        stacks = handle.stacks
+        ledger = DeliveryLedger(handle)
+        probe = LatencyProbe(runtime, warmup=config.warmup)
+        probe.attach_all(stacks)
+        senders = []
+        for rank in group:
+            sender = PoissonSender(
+                runtime,
+                stacks[rank],
+                rate=config.rate,
+                rng=streams.stream(f"workload{rank}"),
+                body_size=config.body_size,
+            )
+            sender.start()
+            senders.append(sender)
 
-    durations: List[float] = []
-    manager = stacks[group.coordinator]
-    manager.protocol.on_global_complete(
-        lambda __, duration: durations.append(duration)
-    )
-    runtime.schedule_at(
-        config.switch_at, lambda: handle.request_switch(SLOT_NAMES[1])
-    )
+        durations: List[float] = []
+        manager = stacks[group.coordinator]
+        manager.protocol.on_global_complete(
+            lambda __, duration: durations.append(duration)
+        )
+        runtime.schedule_at(
+            config.switch_at, lambda: handle.request_switch(SLOT_NAMES[1])
+        )
 
-    # --- run, then let the group settle --------------------------------
-    runtime.run_until(config.duration)
-    for sender in senders:
-        sender.stop()
-    violations: List[str] = []
-    settle_time = config.duration
-    for __ in range(config.settle_windows):
-        runtime.run_for(config.settle_window)
-        settle_time = runtime.now
-        if not any(stacks[r].switching for r in group) and (
-            len({stacks[r].current_protocol for r in group}) == 1
+        runtime.run_until(config.duration)
+        for sender in senders:
+            sender.stop()
+        settle_time, violations = settle(
+            runtime, handle, config.settle_windows, config.settle_window
+        )
+        violations += check_group(handle, ledger)
+        finals = handle.current_protocols
+        if len(set(finals.values())) == 1 and (
+            finals[group.coordinator] != SLOT_NAMES[1]
         ):
-            break
-    else:
-        violations.append(
-            f"group did not converge within {config.settle_windows} settle "
-            f"windows (still switching: "
-            f"{[r for r in group if stacks[r].switching]})"
-        )
+            violations.append(
+                f"switch never took effect: group settled on "
+                f"{finals[group.coordinator]!r}"
+            )
 
-    # --- oracle ---------------------------------------------------------
-    live = list(group)
-    finals = {r: stacks[r].current_protocol for r in live}
-    if len(set(finals.values())) > 1:
-        violations.append(f"members disagree on the protocol: {finals}")
-    elif finals and next(iter(finals.values())) != SLOT_NAMES[1]:
-        violations.append(
-            f"switch never took effect: group settled on "
-            f"{next(iter(finals.values()))!r}"
+        has_samples = probe.latency.count > 0
+        return SwitchRunResult(
+            config=config,
+            runtime=runtime.name,
+            casts=len(ledger.cast_slot),
+            delivered=ledger.delivered(group),
+            mean_ms=probe.mean_ms if has_samples else float("nan"),
+            median_ms=probe.median_ms if has_samples else float("nan"),
+            p90_ms=probe.quantile_ms(0.90) if has_samples else float("nan"),
+            samples=probe.latency.count,
+            switch_duration_ms=durations[0] * 1e3 if durations else None,
+            max_hiccup_ms=probe.max_gap * 1e3,
+            switches_completed=manager.core.switches_completed,
+            final_protocols=finals,
+            settle_time=settle_time,
+            violations=violations,
         )
-    for rank in live:
-        mids = deliveries[rank]
-        if len(mids) != len(set(mids)):
-            dupes = len(mids) - len(set(mids))
-            violations.append(f"member {rank} delivered {dupes} duplicates")
-    violations.extend(
-        check_slot_order(deliveries, cast_slot, live, SLOT_NAMES)
-    )
-
-    has_samples = probe.latency.count > 0
-    return SwitchRunResult(
-        config=config,
-        runtime=runtime.name,
-        casts=len(cast_slot),
-        delivered={r: len(deliveries[r]) for r in live},
-        mean_ms=probe.mean_ms if has_samples else float("nan"),
-        median_ms=probe.median_ms if has_samples else float("nan"),
-        p90_ms=probe.quantile_ms(0.90) if has_samples else float("nan"),
-        samples=probe.latency.count,
-        switch_duration_ms=durations[0] * 1e3 if durations else None,
-        max_hiccup_ms=probe.max_gap * 1e3,
-        switches_completed=manager.core.switches_completed,
-        final_protocols=finals,
-        settle_time=settle_time,
-        violations=violations,
-    )

@@ -7,8 +7,11 @@ deterministic (inline and through the sweeprunner's process pool), and
 at least one clean-net scenario passes over real asyncio/UDP loopback.
 """
 
+from pathlib import Path
+
 import pytest
 
+from repro import cli
 from repro.errors import ScenarioError
 from repro.scenarios import load_catalog, run_scenario
 from repro.scenarios.runner import run_scenario_cell, scenario_cells
@@ -75,6 +78,19 @@ def test_verdicts_deterministic_inline_and_pooled(catalog):
     pooled = [v.to_dict() for v in run_cells(cells, run_scenario_cell, 4)]
     assert inline == serial
     assert inline == pooled
+
+
+def test_sim_catalog_json_matches_checked_in_artifact(tmp_path, capsys):
+    # The checked-in verdicts are the catalog's exact sim output: any
+    # change to event order, the oracle or the scorer shows up here.
+    out = tmp_path / "scenarios.json"
+    assert cli.main(["scenario", "--all", "--json", str(out)]) == 0
+    capsys.readouterr()
+    artifact = (
+        Path(__file__).resolve().parents[2]
+        / "benchmarks/results/scenarios.json"
+    )
+    assert out.read_bytes() == artifact.read_bytes()
 
 
 def test_undeclared_runtime_is_rejected(catalog):

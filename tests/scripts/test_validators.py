@@ -339,17 +339,6 @@ def test_micro_rejects_missing_decode_fanin_fields(tmp_path, capsys):
     assert "decode_fanin" in capsys.readouterr().out
 
 
-def test_micro_rejects_leaky_pooled_deliver(tmp_path, capsys):
-    # More than one steady-state shell means the recycle loop leaked
-    # (or refused) shells — the kernel's soundness claim, not its
-    # timing, is what gates here.
-    artifact = micro_artifact()
-    artifact["kernels"]["pooled_deliver"]["steady_state_shells"] = 3
-    path = write(tmp_path, "micro.json", artifact)
-    assert check_micro.main(["prog", path]) == 1
-    assert "exactly one" in capsys.readouterr().out
-
-
 # ----------------------------------------------------------------------
 # check_scenarios: the checked-in sweep artifact is the known-good input
 # ----------------------------------------------------------------------
