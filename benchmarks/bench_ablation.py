@@ -12,7 +12,7 @@
    latency of the current protocol").
 """
 
-from repro.core.switchable import ProtocolSpec, build_switch_group
+from repro.core.switchable import ProtocolSpec, build_group_handle
 from repro.net.ptp import LatencyMatrix, PointToPointNetwork
 from repro.protocols.fifo import FifoLayer
 from repro.protocols.sequencer import SequencerLayer
@@ -34,10 +34,10 @@ def _measure_switch(
     group = Group.of_size(10)
     factory = layers or (lambda r: [FifoLayer()])
     specs = [ProtocolSpec("A", factory), ProtocolSpec("B", factory)]
-    stacks = build_switch_group(
+    stacks = build_group_handle(
         sim, net, group, specs, initial="A", variant=variant,
         token_interval=token_interval, block_sends_during_switch=blocking,
-    )
+    ).stacks
     durations = []
     request_to_done = []
     stacks[0].protocol.on_global_complete(
@@ -130,10 +130,10 @@ def test_ablation_blocking_vs_nonblocking_sp(benchmark, report):
             ProtocolSpec("A", lambda r: [TokenRingLayer()]),
             ProtocolSpec("B", lambda r: [TokenRingLayer()]),
         ]
-        stacks = build_switch_group(
+        stacks = build_group_handle(
             sim, net, group, specs, initial="A", variant="broadcast",
             block_sends_during_switch=blocking,
-        )
+        ).stacks
         # Steady senders; measure worst send-to-first-delivery latency
         # for messages submitted around the switch.
         latencies = []

@@ -9,7 +9,7 @@ thousands of events) impractically slow.
 
 import pickle
 
-from repro.core.switchable import ProtocolSpec, build_switch_group
+from repro.core.switchable import ProtocolSpec, build_group_handle
 from repro.net.codec import WireCodec
 from repro.net.ethernet import EthernetNetwork, EthernetParams
 from repro.net.faults import FaultPlan
@@ -179,10 +179,10 @@ def test_switch_latency_kernel(benchmark):
             ProtocolSpec("A", lambda r: [FifoLayer()]),
             ProtocolSpec("B", lambda r: [FifoLayer()]),
         ]
-        stacks = build_switch_group(
+        stacks = build_group_handle(
             sim, net, group, specs, initial="A", variant="token",
             token_interval=0.002,
-        )
+        ).stacks
         stacks[0].request_switch("B")
         sim.run_until(2.0)
         assert all(s.current_protocol == "B" for s in stacks.values())

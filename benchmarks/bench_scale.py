@@ -42,7 +42,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.core.switchable import ProtocolSpec, build_switch_group
+from repro.core.switchable import ProtocolSpec, build_group_handle
 from repro.net.ethernet import EthernetNetwork, EthernetParams
 from repro.protocols.sequencer import SequencerLayer
 from repro.protocols.tokenring import TokenRingLayer
@@ -212,7 +212,7 @@ def run_switch_point(max_batch: int, cfg: ScaleConfig) -> dict:
             "tokenring", lambda r: _data_layers("tokenring", max_batch, cfg)
         ),
     ]
-    stacks = build_switch_group(
+    stacks = build_group_handle(
         runtime,
         network,
         group,
@@ -221,7 +221,7 @@ def run_switch_point(max_batch: int, cfg: ScaleConfig) -> dict:
         variant="token",
         token_interval=cfg.token_interval,
         streams=streams,
-    )
+    ).stacks
     delivered: Dict[int, int] = {r: 0 for r in group}
     for rank, stack in stacks.items():
         stack.on_deliver(lambda msg, rank=rank: delivered.__setitem__(

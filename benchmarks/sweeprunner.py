@@ -4,7 +4,7 @@
 Both the Figure 2 sweep and the scaling benchmark are grids of
 independent simulated runs — every cell builds its own ``SimRuntime``
 and seeds its RNG purely from the cell parameters.  This runner fans
-those cells across a process pool (``repro.workloads.parallel``) and
+those cells across forked children (``repro.workloads.parallel``) and
 merges the results back in cell-definition order, so the merged JSON
 artifact is **byte-identical** for any ``--workers`` value.  That
 property is asserted by ``tests/workloads/test_parallel.py`` and is the
@@ -69,7 +69,7 @@ def scale_cells(cfg: bench_scale.ScaleConfig) -> List[Dict[str, Any]]:
 
 
 def run_scale_cell(cell: Dict[str, Any]) -> dict:
-    """One scale cell; the executor's (picklable) worker function."""
+    """One scale cell; the sweep's ``run_cells`` worker function."""
     cfg = cell["cfg"]
     if cell["kind"] == "point":
         return bench_scale.run_point(

@@ -19,7 +19,7 @@ from repro.core import (
     AdaptiveController,
     HysteresisOracle,
     ProtocolSpec,
-    build_switch_group,
+    build_group_handle,
 )
 from repro.net import EthernetNetwork, EthernetParams
 from repro.protocols import SequencerLayer, TokenRingLayer
@@ -53,9 +53,9 @@ def main() -> None:
         ),
         ProtocolSpec("token", lambda rank: [TokenRingLayer()]),
     ]
-    stacks = build_switch_group(
+    stacks = build_group_handle(
         sim, network, group, protocols, initial="sequencer"
-    )
+    ).stacks
 
     # The adaptive loop lives at the coordinator.
     manager = stacks[group.coordinator]

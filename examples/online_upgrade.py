@@ -14,7 +14,7 @@ duplicated, nothing restarts.
 Run:  python examples/online_upgrade.py
 """
 
-from repro import ProtocolSpec, Simulator, build_switch_group
+from repro import ProtocolSpec, Simulator, build_group_handle
 from repro.core import AdaptiveController, ScheduledOracle
 from repro.net import FaultPlan, PointToPointNetwork
 from repro.protocols import ReliableConfig, ReliableLayer
@@ -47,9 +47,9 @@ def main() -> None:
             lambda rank: [ReliableLayer(ReliableConfig(tick_interval=0.010))],
         ),
     ]
-    stacks = build_switch_group(
+    stacks = build_group_handle(
         sim, network, group, protocols, initial="reliable-v1"
-    )
+    ).stacks
 
     deliveries = {rank: [] for rank in group}
     for rank, stack in stacks.items():

@@ -13,7 +13,7 @@ two guarantees that make the SP useful:
 Run:  python examples/quickstart.py
 """
 
-from repro import ProtocolSpec, Simulator, build_switch_group
+from repro import ProtocolSpec, Simulator, build_group_handle
 from repro.net import PointToPointNetwork
 from repro.protocols import SequencerLayer, TokenRingLayer
 from repro.stack import Group
@@ -30,9 +30,9 @@ def main() -> None:
         ProtocolSpec("sequencer", lambda rank: [SequencerLayer()]),
         ProtocolSpec("token", lambda rank: [TokenRingLayer()]),
     ]
-    stacks = build_switch_group(
+    stacks = build_group_handle(
         sim, network, group, protocols, initial="sequencer"
-    )
+    ).stacks
 
     # Observe deliveries at every member, and record the global trace.
     deliveries = {rank: [] for rank in group}

@@ -15,7 +15,7 @@ messages.
 Run:  python examples/security_escalation.py
 """
 
-from repro import ProtocolSpec, Simulator, build_switch_group
+from repro import ProtocolSpec, Simulator, build_group_handle
 from repro.core import AdaptiveController, ManualOracle
 from repro.net import EthernetNetwork, EthernetParams
 from repro.protocols import (
@@ -45,7 +45,9 @@ def main() -> None:
             lambda rank: [IntegrityLayer(key), ConfidentialityLayer(key)],
         ),
     ]
-    stacks = build_switch_group(sim, network, group, protocols, initial="plain")
+    stacks = build_group_handle(
+        sim, network, group, protocols, initial="plain"
+    ).stacks
 
     deliveries = {rank: [] for rank in group}
     for rank, stack in stacks.items():

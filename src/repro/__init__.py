@@ -33,7 +33,6 @@ from .core import (
     ThresholdOracle,
     ViewSwitchStack,
     build_group_handle,
-    build_switch_group,
 )
 from .errors import (
     NetworkError,
@@ -64,7 +63,6 @@ __all__ = [
     "ThresholdOracle",
     "ViewSwitchStack",
     "build_group_handle",
-    "build_switch_group",
     "NetworkError",
     "ProtocolError",
     "ReproError",

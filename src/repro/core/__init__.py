@@ -24,14 +24,13 @@ from .oracle import (
     ScheduledOracle,
     ThresholdOracle,
 )
-from .stats import ActivityMonitor, RateMonitor
+from .stats import ActivityMonitor
 from .switch import BroadcastSwitchProtocol
 from .switchable import (
     GroupHandle,
     ProtocolSpec,
     SwitchableStack,
     build_group_handle,
-    build_switch_group,
 )
 from .token_switch import (
     FaultToleranceConfig,
@@ -58,13 +57,11 @@ __all__ = [
     "ScheduledOracle",
     "ThresholdOracle",
     "ActivityMonitor",
-    "RateMonitor",
     "BroadcastSwitchProtocol",
     "GroupHandle",
     "ProtocolSpec",
     "SwitchableStack",
     "build_group_handle",
-    "build_switch_group",
     "TokenSwitchProtocol",
     "ViewSwitchStack",
 ]

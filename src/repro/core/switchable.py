@@ -48,7 +48,6 @@ __all__ = [
     "SwitchableStack",
     "GroupHandle",
     "build_group_handle",
-    "build_switch_group",
 ]
 
 #: The mux channel reserved for the SP's own control traffic.
@@ -363,8 +362,8 @@ class GroupHandle:
         BUILT ──start()──> STARTED ──drain()──> DRAINING ──teardown()──> TORN_DOWN
 
     ``teardown()`` is legal from any earlier state.  A single-group run
-    is simply a fleet of size one: :func:`build_switch_group` builds a
-    handle and returns its stacks.
+    is simply a fleet of size one: :func:`build_group_handle` builds a
+    handle, and ``handle.stacks`` maps each member to its stack.
     """
 
     def __init__(
@@ -462,8 +461,7 @@ def build_group_handle(
 
     ``ports`` maps rank to a shared per-node port (see
     ``repro.fleet.port.NodePort``); omitted ranks own their transports.
-    With ``auto_start=True`` (the default, matching the historical
-    :func:`build_switch_group` behaviour) each stack starts as it is
+    With ``auto_start=True`` (the default) each stack starts as it is
     built, preserving per-stack timer-arming order; ``auto_start=False``
     builds a dormant fleet member started later via ``handle.start()``.
     """
@@ -491,41 +489,3 @@ def build_group_handle(
         )
     return GroupHandle(group_id, group, stacks)
 
-
-def build_switch_group(
-    runtime: Runtime,
-    network: Network,
-    group: Group,
-    protocols: Sequence[ProtocolSpec],
-    initial: str,
-    variant: str = "token",
-    token_interval: float = 0.010,
-    control_factory: Optional[Callable[[int], Sequence[Layer]]] = None,
-    streams: Optional[RandomStreams] = None,
-    block_sends_during_switch: bool = False,
-    fault_tolerance: Optional[FaultToleranceConfig] = None,
-    switch_timeout: Optional[float] = None,
-    bus: Optional[Bus] = None,
-) -> Dict[int, SwitchableStack]:
-    """Build one :class:`SwitchableStack` per group member.
-
-    Kept as the historical single-group entry point; it now builds a
-    :class:`GroupHandle` (a fleet of size one) and returns its stacks —
-    construction order, RNG forks, and timer arming are unchanged.
-    """
-    handle = build_group_handle(
-        runtime,
-        network,
-        group,
-        protocols,
-        initial,
-        variant=variant,
-        token_interval=token_interval,
-        control_factory=control_factory,
-        streams=streams,
-        block_sends_during_switch=block_sends_during_switch,
-        fault_tolerance=fault_tolerance,
-        switch_timeout=switch_timeout,
-        bus=bus,
-    )
-    return handle.stacks

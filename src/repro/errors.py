@@ -72,20 +72,23 @@ class TelemetryError(ReproError):
 
 
 class ShardError(ReproError):
-    """A process-sharded fleet run failed at the supervisor layer.
+    """A process fan-out or a sharded fleet run failed at the supervisor.
 
-    Examples: a worker reporting a group outside its slice, or a slice
-    left uncovered after every worker reported.
+    Examples: a fleet shard reporting groups other than its hash slice,
+    or a shard plan that leaves a shard empty.
     """
 
 
 class ShardCrashed(ShardError):
-    """A shard worker died (or hung) before reporting its results.
+    """A fanned-out cell raised, died or hung before returning its result.
 
-    Carries enough structure for the caller to react per shard instead
-    of staring at a hung sweep: the shard id, the process exit code
-    (``None`` when the worker was still alive, e.g. a timeout), and a
-    human-readable detail line.
+    Raised by :func:`~repro.workloads.parallel.run_cells` for any cell —
+    a sweep point or a fleet shard — so the caller reacts per cell
+    instead of staring at a hung sweep.  ``shard`` is the cell's index
+    (for a sharded fleet, the shard id), ``exitcode`` the child's exit
+    code (``None`` when it was still alive, e.g. a timeout), and
+    ``detail`` a human-readable line (for a cell that raised, the
+    exception type and message).
     """
 
     def __init__(self, shard: int, exitcode, detail: str) -> None:
@@ -93,6 +96,6 @@ class ShardCrashed(ShardError):
         self.exitcode = exitcode
         self.detail = detail
         super().__init__(
-            f"fleet shard {shard} failed "
+            f"cell {shard} failed "
             f"(exitcode={exitcode!r}): {detail}"
         )

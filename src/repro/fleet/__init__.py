@@ -14,8 +14,9 @@ per-group delivery rates off the shared obs bus (group-labelled
 sequencer to token ring — without touching cold ones.
 
 One process still caps out at one core; ``repro.fleet.sharding``
-partitions the group-id space across worker processes by consistent
-hashing and merges their slices back into one
+partitions the group-id space by consistent hashing, runs each slice as
+a :func:`~repro.workloads.parallel.run_cells` cell (a forked child per
+shard) and merges the slices back into one
 :class:`~repro.fleet.runner.FleetResult`.
 """
 

@@ -120,8 +120,9 @@ class FleetConfig:
             in seconds, delivery-ratio floor).
         shards: worker processes the fleet is partitioned across by
             consistent group-id hashing (``repro.fleet.sharding``).
-            0 = classic in-process run; N >= 1 routes through the shard
-            supervisor (sim runtime only).
+            0 = classic in-process run; N >= 1 runs each shard as a
+            ``run_cells`` cell, a lone shard in-process (sim runtime
+            only).
     """
 
     runtime: str = "sim"
@@ -345,9 +346,13 @@ class FleetResult:
             cpu = max(
                 (s.get("cpu_s", 0.0) for s in self.shard_stats), default=0.0
             )
+            where = (
+                f"{self.shards} worker processes"
+                if self.shards > 1
+                else "1, in-process"
+            )
             lines.append(
-                f"  shards:  {self.shards} worker processes, "
-                f"critical-path cpu={cpu:.2f}s"
+                f"  shards:  {where}, critical-path cpu={cpu:.2f}s"
             )
         if self.violations:
             lines.append("  VIOLATIONS:")

@@ -1,47 +1,42 @@
 """Process sharding: the multiplexed fleet across CPU cores.
 
 One fleet process multiplexes thousands of groups but saturates one
-core.  This module partitions the fleet's group-id space across worker
-processes by **consistent hashing** (FNV-1a over the group id, mod
-shard count) and runs each slice through the unmodified
-:func:`~repro.fleet.runner.run_fleet` engine — every worker owns a full
+core.  This module partitions the fleet's group-id space across shards
+by **consistent hashing** (FNV-1a over the group id, mod shard count)
+and runs each slice through the unmodified
+:func:`~repro.fleet.runner.run_fleet` engine — every shard owns a full
 ``Runtime`` + ``GroupManager`` + its slice of the global sequencer
 plan, seeded from the *global* group index, so any partition reproduces
 exactly the per-group outcomes of the unpartitioned run (see
 ``run_fleet(indices=...)``).
 
-Workers report results to the supervisor over the fleet's own v2
-group-addressed wire frames (:class:`~repro.net.codec.WireCodec`, the
-varint-group-id layout every NodePort speaks): one frame per group
-report, addressed to that group id, then a group-0 summary frame with
-the shard's aggregates and telemetry snapshot.  The transport is a
-``multiprocessing`` pipe, but the *framing* is the wire codec — the
-same bytes could cross a socket.
-
-The supervisor (:func:`run_fleet_sharded`) spawns workers via ``fork``,
-collects frames with crash detection (a dead worker raises a structured
-:class:`~repro.errors.ShardCrashed` instead of hanging the sweep),
-joins in shard order, and merges the slices into one
-:class:`~repro.fleet.runner.FleetResult` — per-shard telemetry planes
-roll up through :func:`~repro.obs.telemetry.merge.merge_payloads`.
+Each shard is one cell of :func:`~repro.workloads.parallel.run_cells`,
+the repo's one process fan-out: a forked child per shard returns its
+typed :class:`~repro.fleet.runner.FleetResult` slice over a pipe, and a
+shard that raises, dies or hangs surfaces as a structured
+:class:`~repro.errors.ShardCrashed` instead of hanging the run.  One
+shard is one cell, which ``run_cells`` runs in-process — exactly the
+run the parity contract says it equals.  :func:`run_fleet_sharded`
+checks that each shard reported exactly its own slice and merges the
+slices into one ``FleetResult``; per-shard telemetry planes roll up
+through :func:`~repro.obs.telemetry.merge.merge_payloads`.
 
 Scaling economics: each shard simulates its slice in its own process,
 so the run's critical path is the *slowest shard's* CPU time instead of
 the whole fleet's.  With enough cores, elapsed wall time follows that
-critical path; on fewer cores the workers time-slice one another but
+critical path; on fewer cores the shards time-slice one another but
 the per-shard ``cpu_s`` recorded in ``shard_stats`` still measures the
 parallel critical path honestly.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from ..errors import ShardCrashed, ShardError
-from ..net.codec import WireCodec
-from .runner import FleetConfig, FleetResult, GroupReport, run_fleet
+from ..errors import ShardError
+from ..workloads.parallel import run_cells
+from .runner import FleetConfig, FleetResult, run_fleet
 
 __all__ = [
     "fnv1a32",
@@ -52,9 +47,6 @@ __all__ = [
 
 _FNV_OFFSET = 0x811C9DC5
 _FNV_PRIME = 0x01000193
-
-#: Seconds between liveness polls while waiting on a worker's pipe.
-_POLL_S = 0.2
 
 
 def fnv1a32(value: int) -> int:
@@ -70,7 +62,7 @@ def shard_of(group_id: int, shards: int) -> int:
 
     Pure and layout-free: a group's home shard depends only on its id
     and the shard count, never on fleet size or creation order, so two
-    processes (or a supervisor checking a frame's provenance) always
+    processes (or a supervisor checking a shard's slice) always
     agree on placement.
     """
     if shards < 1:
@@ -98,246 +90,97 @@ def plan_shards(config: FleetConfig) -> List[List[int]]:
     return plan
 
 
-def _shard_worker(
-    conn, shard_id: int, config: FleetConfig, indices: List[int]
-) -> None:
-    """Worker body: run one slice, stream frames back, close, exit.
-
-    Runs in a forked child.  All output rides v2 wire frames: one per
-    group report (addressed to that group's id), then a group-0 summary
-    carrying the shard's aggregates, resource usage, and telemetry
-    payload.  A failure sends a group-0 ``shard_error`` frame before
-    exiting nonzero, so the supervisor reports the worker's own
-    traceback head instead of a bare exit code.
-    """
-    codec = WireCodec()
-    try:
-        cpu_start = time.process_time()
-        wall_start = time.perf_counter()
-        result = run_fleet(config, indices=indices)
-        cpu_s = time.process_time() - cpu_start
-        wall_s = time.perf_counter() - wall_start
-        for report in result.per_group:
-            conn.send_bytes(
-                codec.encode(
-                    shard_id, 0, report.as_dict(), group=report.group_id
-                )
-            )
-        summary: Dict[str, Any] = {
-            "kind": "shard_summary",
-            "shard": shard_id,
-            "groups": len(result.per_group),
-            "casts": result.casts,
-            "delivered": result.delivered,
-            "hot_groups": result.hot_groups,
-            "hot_switched": result.hot_switched,
-            "cold_switched": result.cold_switched,
-            "stray_by_node": result.stray_by_node,
-            "pool_loads": result.pool_loads,
-            "violations": result.violations,
-            "cpu_s": cpu_s,
-            "wall_s": wall_s,
-            "telemetry": result.telemetry,
-        }
-        conn.send_bytes(codec.encode(shard_id, 0, summary))
-    except BaseException as exc:  # noqa: BLE001 - forwarded, then fatal
-        try:
-            conn.send_bytes(
-                codec.encode(
-                    shard_id,
-                    0,
-                    {
-                        "kind": "shard_error",
-                        "shard": shard_id,
-                        "error": f"{type(exc).__name__}: {exc}",
-                    },
-                )
-            )
-        except Exception:
-            pass
-        conn.close()
-        raise SystemExit(1)
-    conn.close()
+def _run_shard(cell: Mapping[str, Any]) -> Tuple[FleetResult, float, float]:
+    """One shard's cell: its slice's result, cpu and wall seconds."""
+    cpu_start = time.process_time()
+    wall_start = time.perf_counter()
+    result = run_fleet(cell["config"], indices=cell["indices"])
+    return (
+        result,
+        time.process_time() - cpu_start,
+        time.perf_counter() - wall_start,
+    )
 
 
-def _collect_shard(
-    conn,
-    process,
-    shard_id: int,
-    expected: set,
-    codec: WireCodec,
-    deadline: float,
-) -> Tuple[List[Dict[str, Any]], Dict[str, Any]]:
-    """Drain one worker's pipe until its summary frame (or its death)."""
-    reports: List[Dict[str, Any]] = []
-    while True:
-        while not conn.poll(_POLL_S):
-            if time.monotonic() > deadline:
-                process.terminate()
-                raise ShardCrashed(
-                    shard_id, None, "timed out waiting for results"
-                )
-            if not process.is_alive() and not conn.poll(0):
-                raise ShardCrashed(
-                    shard_id, process.exitcode, "worker died before reporting"
-                )
-        try:
-            data = conn.recv_bytes()
-        except EOFError:
-            raise ShardCrashed(
-                shard_id, process.exitcode, "pipe closed before summary"
-            )
-        group, src, __, payload = codec.decode_datagram(data)
-        if src != shard_id:
-            raise ShardError(
-                f"frame from worker {src} on shard {shard_id}'s pipe"
-            )
-        if group == 0:
-            if payload.get("kind") == "shard_error":
-                raise ShardCrashed(shard_id, 1, payload.get("error", "?"))
-            if payload.get("kind") != "shard_summary":
-                raise ShardError(
-                    f"shard {shard_id} sent unknown control frame "
-                    f"{payload.get('kind')!r}"
-                )
-            missing = expected - {r["group_id"] for r in reports}
-            if missing:
-                raise ShardError(
-                    f"shard {shard_id} summary arrived with "
-                    f"{len(missing)} groups unreported "
-                    f"(e.g. {min(missing)})"
-                )
-            return reports, payload
-        if group not in expected:
-            raise ShardError(
-                f"group {group} landed on shard {shard_id}: outside its "
-                f"hash slice"
-            )
-        reports.append(payload)
-
-
-def run_fleet_sharded(
-    config: FleetConfig, timeout: Optional[float] = None
-) -> FleetResult:
+def run_fleet_sharded(config: FleetConfig) -> FleetResult:
     """Run the fleet partitioned across ``config.shards`` processes.
 
-    ``timeout`` bounds the wait for any single shard's results (wall
-    seconds); ``None`` derives a generous bound from the configured
-    duration.  Group outcomes are identical to the in-process run —
-    only ``shards``/``shard_stats`` and the wall economics differ.
+    Each shard's wall time is bounded by a generous multiple of the
+    configured simulated span.  Group outcomes are identical to the
+    in-process run — only ``shards``/``shard_stats`` and the wall
+    economics differ.
     """
     if config.shards < 1:
         raise ShardError("run_fleet_sharded needs config.shards >= 1")
-    if timeout is None:
-        timeout = max(60.0, (config.duration + config.settle) * 20.0)
     plan = plan_shards(config)
-    codec = WireCodec()
-    ctx = multiprocessing.get_context("fork")
-
-    workers = []
+    slices = run_cells(
+        [{"config": config, "indices": indices} for indices in plan],
+        _run_shard,
+        workers=len(plan),
+        timeout=max(60.0, (config.duration + config.settle) * 20.0),
+    )
     for shard_id, indices in enumerate(plan):
-        recv, send = ctx.Pipe(duplex=False)
-        process = ctx.Process(
-            target=_shard_worker,
-            args=(send, shard_id, config, indices),
-            name=f"fleet-shard-{shard_id}",
-        )
-        process.start()
-        send.close()  # child's end; keeping it open would mask EOF
-        workers.append((process, recv, indices))
-
-    wall_start = time.perf_counter()
-    reports: List[Dict[str, Any]] = []
-    summaries: List[Dict[str, Any]] = []
-    try:
-        deadline = time.monotonic() + timeout
-        for shard_id, (process, recv, indices) in enumerate(workers):
-            expected = {index + 1 for index in indices}
-            shard_reports, summary = _collect_shard(
-                recv, process, shard_id, expected, codec, deadline
+        reported = [r.group_id for r in slices[shard_id][0].per_group]
+        if reported != [index + 1 for index in indices]:
+            raise ShardError(
+                f"shard {shard_id} reported groups other than its hash slice"
             )
-            reports.extend(shard_reports)
-            summaries.append(summary)
-    finally:
-        # Ordered shutdown, shard order: join the reported, terminate
-        # the stuck, close every pipe.
-        for process, recv, __ in workers:
-            if process.is_alive():
-                process.join(timeout=5.0)
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=5.0)
-            recv.close()
-    wall_s = time.perf_counter() - wall_start
-
-    return _merge(config, reports, summaries, wall_s)
+    return _merge(config, slices)
 
 
 def _merge(
-    config: FleetConfig,
-    reports: List[Dict[str, Any]],
-    summaries: List[Dict[str, Any]],
-    wall_s: float,
+    config: FleetConfig, slices: List[Tuple[FleetResult, float, float]]
 ) -> FleetResult:
     """Fold per-shard slices into the one-process result shape."""
-    per_group = [
-        GroupReport(**report)
-        for report in sorted(reports, key=lambda r: r["group_id"])
-    ]
+    per_group = sorted(
+        (report for result, __, __ in slices for report in result.per_group),
+        key=lambda report: report.group_id,
+    )
     violations: List[str] = []
     stray_by_node: Dict[int, int] = {}
     pool_loads: Dict[int, int] = {}
     shard_stats: List[Dict[str, Any]] = []
-    for summary in summaries:
-        sid = summary["shard"]
+    for sid, (result, cpu_s, wall_s) in enumerate(slices):
         violations.extend(
-            f"shard {sid}: {violation}"
-            for violation in summary.get("violations", [])
+            f"shard {sid}: {violation}" for violation in result.violations
         )
-        for node, count in (summary.get("stray_by_node") or {}).items():
-            node = int(node)
+        for node, count in result.stray_by_node.items():
             stray_by_node[node] = stray_by_node.get(node, 0) + count
-        for rank, load in (summary.get("pool_loads") or {}).items():
-            rank = int(rank)
+        for rank, load in result.pool_loads.items():
             pool_loads[rank] = pool_loads.get(rank, 0) + load
         shard_stats.append(
             {
                 "shard": sid,
-                "groups": summary["groups"],
-                "casts": summary["casts"],
-                "delivered": summary["delivered"],
-                "cpu_s": summary["cpu_s"],
-                "wall_s": summary["wall_s"],
+                "groups": len(result.per_group),
+                "casts": result.casts,
+                "delivered": result.delivered,
+                "cpu_s": cpu_s,
+                "wall_s": wall_s,
             }
         )
 
+    results = [result for result, __, __ in slices]
     telemetry: Optional[Dict[str, Any]] = None
     if config.telemetry:
         from ..obs.telemetry.merge import merge_payloads
 
-        payloads = [
-            summary["telemetry"]
-            for summary in summaries
-            if summary.get("telemetry") is not None
-        ]
-        if payloads:
-            telemetry = merge_payloads(
-                payloads,
-                sources=[f"shard{summary['shard']}" for summary in summaries],
-            )
+        telemetry = merge_payloads(
+            [result.telemetry for result in results],
+            sources=[f"shard{sid}" for sid in range(len(results))],
+        )
 
-    delivered = sum(summary["delivered"] for summary in summaries)
+    delivered = sum(result.delivered for result in results)
     return FleetResult(
         runtime="sim",
         groups=config.groups,
         clients=config.clients,
         duration=config.duration,
-        casts=sum(summary["casts"] for summary in summaries),
+        casts=sum(result.casts for result in results),
         delivered=delivered,
         msgs_per_s=delivered / config.duration,
-        hot_groups=sum(summary["hot_groups"] for summary in summaries),
-        hot_switched=sum(summary["hot_switched"] for summary in summaries),
-        cold_switched=sum(summary["cold_switched"] for summary in summaries),
+        hot_groups=sum(result.hot_groups for result in results),
+        hot_switched=sum(result.hot_switched for result in results),
+        cold_switched=sum(result.cold_switched for result in results),
         stray_packets=sum(stray_by_node.values()),
         per_group=per_group,
         violations=violations,

@@ -458,7 +458,7 @@ def scenario_cells(
 
 
 def run_scenario_cell(cell) -> ScenarioVerdict:
-    """One scenario run; the executor's (picklable) worker function.
+    """One scenario run; the sweep's ``run_cells`` worker function.
 
     Each cell re-loads its spec from the catalog inside the worker
     process, and every run builds its own runtime and seeds its own

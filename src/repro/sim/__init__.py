@@ -7,11 +7,11 @@ This package replaces the paper's physical testbed (SparcStation-20s on a
 * :mod:`repro.sim.rng` — named, seeded random streams.
 * :mod:`repro.sim.seeding` — the pinned per-cell seed recipes every
   partitioned run (sweep workers, fleet shards) derives from.
-* :mod:`repro.sim.monitor` — counters, EWMAs, summaries, time series.
+* :mod:`repro.sim.monitor` — counters and summaries.
 """
 
 from .engine import EventHandle, Simulator, Timeline
-from .monitor import Counter, Ewma, Summary, TimeSeries
+from .monitor import Counter, Summary
 from .rng import RandomStreams
 
 __all__ = [
@@ -19,8 +19,6 @@ __all__ = [
     "Simulator",
     "Timeline",
     "Counter",
-    "Ewma",
     "Summary",
-    "TimeSeries",
     "RandomStreams",
 ]

@@ -5,22 +5,17 @@ in this library run hundreds of thousands of simulated events and probes
 are on the hot path.
 
 * :class:`Counter` — named monotonic counters.
-* :class:`Ewma` — exponentially weighted moving average (used by the
-  switching oracle to smooth latency/load signals, mirroring the
-  hysteresis discussion in §7 of the paper).
 * :class:`Summary` — streaming min/max/mean/stddev plus full sample
   retention for exact quantiles (experiments are small enough to afford
   keeping samples; this keeps percentile math exact and honest).
-* :class:`TimeSeries` — (time, value) pairs for plotting figure-style
-  output.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
-__all__ = ["Counter", "Ewma", "Summary", "TimeSeries"]
+__all__ = ["Counter", "Summary"]
 
 
 class Counter:
@@ -43,62 +38,6 @@ class Counter:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Counter({self._counts!r})"
-
-
-class Ewma:
-    """Exponentially weighted moving average.
-
-    ``alpha`` is the weight of each new observation; the first observation
-    initializes the average directly.
-    """
-
-    def __init__(self, alpha: float = 0.2) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        self.alpha = alpha
-        self._value: Optional[float] = None
-        self._count = 0
-
-    def observe(self, sample: float) -> float:
-        """Fold ``sample`` in and return the updated average."""
-        if self._value is None:
-            self._value = float(sample)
-        else:
-            self._value += self.alpha * (sample - self._value)
-        self._count += 1
-        return self._value
-
-    def decay(self, steps: int, toward: float = 0.0) -> Optional[float]:
-        """Fold ``steps`` observations of ``toward`` in, in closed form.
-
-        Equivalent to calling :meth:`observe`\\ ``(toward)`` ``steps``
-        times — each step multiplies the distance to ``toward`` by
-        ``1 - alpha`` — but O(1), so idle-time decay stays cheap no
-        matter how long the idle stretch was.  A no-op before the first
-        real observation (there is no average to decay yet).
-        """
-        if steps < 0:
-            raise ValueError(f"steps must be non-negative, got {steps}")
-        if steps == 0 or self._value is None:
-            return self._value
-        factor = (1.0 - self.alpha) ** steps
-        self._value = toward + (self._value - toward) * factor
-        self._count += steps
-        return self._value
-
-    @property
-    def value(self) -> Optional[float]:
-        """Current average, or None before any observation."""
-        return self._value
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    def reset(self) -> None:
-        """Forget all observations."""
-        self._value = None
-        self._count = 0
 
 
 class Summary:
@@ -197,33 +136,3 @@ class Summary:
             f"min={self.minimum:.6g} max={self.maximum:.6g})"
         )
 
-
-class TimeSeries:
-    """An append-only series of (time, value) observations."""
-
-    def __init__(self, name: str = "") -> None:
-        self.name = name
-        self._points: List[Tuple[float, float]] = []
-
-    def record(self, time: float, value: float) -> None:
-        """Append a (time, value) observation."""
-        self._points.append((time, value))
-
-    @property
-    def points(self) -> List[Tuple[float, float]]:
-        return list(self._points)
-
-    def values(self) -> List[float]:
-        """The observed values, in order."""
-        return [v for __, v in self._points]
-
-    def times(self) -> List[float]:
-        """The observation times, in order."""
-        return [t for t, __ in self._points]
-
-    def window(self, start: float, end: float) -> List[Tuple[float, float]]:
-        """Points with start <= time < end."""
-        return [(t, v) for t, v in self._points if start <= t < end]
-
-    def __len__(self) -> int:
-        return len(self._points)

@@ -343,12 +343,11 @@ def _drive(sim, network, config: ChaosConfig, rng, streams, bus) -> ChaosResult:
 
 
 def run_chaos_cell(cell) -> ChaosResult:
-    """One chaos run; a picklable sweep worker (see workloads.parallel).
+    """One chaos run; a sweep's ``run_cells`` worker function.
 
-    The cell carries a complete :class:`ChaosConfig` (picklable as long
-    as it uses no ``intercept`` callable), and the run derives all of
-    its randomness from that config's seed — so fanning chaos configs
-    across worker processes returns results value-identical to running
-    them serially, in cell order.
+    The cell carries a complete :class:`ChaosConfig`, and the run
+    derives all of its randomness from that config's seed — so fanning
+    chaos configs across forked children returns results
+    value-identical to running them serially, in cell order.
     """
     return run_chaos(cell["config"])

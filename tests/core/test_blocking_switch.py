@@ -10,7 +10,7 @@ paper's SP was designed to avoid."""
 import pytest
 
 from helpers import switch_group
-from repro.core.switchable import ProtocolSpec, build_switch_group
+from repro.core.switchable import ProtocolSpec, build_group_handle
 from repro.net.ptp import LatencyMatrix, PointToPointNetwork
 from repro.protocols.amoeba import AmoebaLayer
 from repro.protocols.fifo import FifoLayer
@@ -30,10 +30,10 @@ def blocking_group(n=4, specs=None, seed=81, latency=None):
         ProtocolSpec("A", lambda r: [FifoLayer()]),
         ProtocolSpec("B", lambda r: [FifoLayer()]),
     ]
-    stacks = build_switch_group(
+    stacks = build_group_handle(
         sim, net, group, specs, initial=specs[0].name, variant="broadcast",
         block_sends_during_switch=True,
-    )
+    ).stacks
     return sim, stacks
 
 

@@ -1,17 +1,13 @@
 """GroupHandle: the build/start/drain/teardown lifecycle.
 
-A single-group run is a fleet of size one — ``build_switch_group`` is
-now a thin wrapper returning a handle's stacks — so the lifecycle
-contract tested here underwrites every workload in the repo.
+A single-group run is a fleet of size one — its stacks are a handle's
+``stacks`` — so the lifecycle contract tested here underwrites every
+workload in the repo.
 """
 
 import pytest
 
-from repro.core.switchable import (
-    ProtocolSpec,
-    build_group_handle,
-    build_switch_group,
-)
+from repro.core.switchable import ProtocolSpec, build_group_handle
 from repro.errors import SwitchError
 from repro.net.ptp import PointToPointNetwork
 from repro.protocols.fifo import FifoLayer
@@ -113,14 +109,3 @@ class TestConveniences:
         __, __, handle = make_handle()
         assert handle.current_protocols == {0: "A", 1: "A", 2: "A"}
 
-
-class TestWrapperParity:
-    def test_build_switch_group_is_a_size_one_fleet(self):
-        runtime = SimRuntime()
-        net = PointToPointNetwork(runtime, 2)
-        stacks = build_switch_group(
-            runtime, net, Group.of_size(2), specs(), initial="A",
-            streams=RandomStreams(3),
-        )
-        assert sorted(stacks) == [0, 1]
-        assert all(s.group_id == 0 for s in stacks.values())

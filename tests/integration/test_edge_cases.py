@@ -1,7 +1,7 @@
 """Edge cases across the whole composition: tiny groups, non-contiguous
 ranks, physical-size accounting, bit-for-bit determinism."""
 
-from repro.core.switchable import ProtocolSpec, build_switch_group
+from repro.core.switchable import ProtocolSpec, build_group_handle
 from repro.net.ethernet import EthernetNetwork, EthernetParams
 from repro.net.ptp import PointToPointNetwork
 from repro.protocols.fifo import FifoLayer
@@ -42,8 +42,8 @@ def test_switching_in_a_two_member_group_of_noncontiguous_ranks():
         ProtocolSpec("A", lambda r: [FifoLayer()]),
         ProtocolSpec("B", lambda r: [SequencerLayer(sequencer=2)]),
     ]
-    stacks = build_switch_group(sim, net, group, specs, initial="A",
-                                variant="broadcast")
+    stacks = build_group_handle(sim, net, group, specs, initial="A",
+                                variant="broadcast").stacks
     got = {2: [], 5: []}
     for rank in group:
         stacks[rank].on_deliver(lambda m, rank=rank: got[rank].append(m.body))
@@ -94,10 +94,10 @@ def test_recorded_switch_execution_is_deterministic():
             ProtocolSpec("seq", lambda r: [SequencerLayer()]),
             ProtocolSpec("tok", lambda r: [TokenRingLayer()]),
         ]
-        stacks = build_switch_group(
+        stacks = build_group_handle(
             sim, net, group, specs, initial="seq", variant="token",
             token_interval=0.002, streams=RandomStreams(17),
-        )
+        ).stacks
         recorder = TraceRecorder(sim)
         recorder.attach_all(stacks)
         for i in range(12):
@@ -123,10 +123,10 @@ def test_three_protocol_round_robin():
         ProtocolSpec("y", lambda r: [SequencerLayer()]),
         ProtocolSpec("z", lambda r: [TokenRingLayer()]),
     ]
-    stacks = build_switch_group(
+    stacks = build_group_handle(
         sim, net, group, specs, initial="x", variant="token",
         token_interval=0.002,
-    )
+    ).stacks
     got = {r: [] for r in group}
     for rank in group:
         stacks[rank].on_deliver(lambda m, rank=rank: got[rank].append(m.body))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.monitor import Counter, Ewma, Summary, TimeSeries
+from repro.sim.monitor import Counter, Summary
 
 
 class TestCounter:
@@ -21,30 +21,6 @@ class TestCounter:
         snapshot = counter.as_dict()
         snapshot["x"] = 99
         assert counter.get("x") == 1
-
-
-class TestEwma:
-    def test_first_observation_initializes(self):
-        ewma = Ewma(alpha=0.5)
-        assert ewma.observe(10.0) == 10.0
-
-    def test_moves_toward_new_samples(self):
-        ewma = Ewma(alpha=0.5)
-        ewma.observe(0.0)
-        assert ewma.observe(10.0) == pytest.approx(5.0)
-
-    def test_alpha_validation(self):
-        with pytest.raises(ValueError):
-            Ewma(alpha=0.0)
-        with pytest.raises(ValueError):
-            Ewma(alpha=1.5)
-
-    def test_reset(self):
-        ewma = Ewma()
-        ewma.observe(5.0)
-        ewma.reset()
-        assert ewma.value is None
-        assert ewma.count == 0
 
 
 class TestSummary:
@@ -125,19 +101,3 @@ class TestSummary:
         summary.observe(0.5)
         assert summary.minimum == 0.5
 
-
-class TestTimeSeries:
-    def test_records_points(self):
-        series = TimeSeries("load")
-        series.record(0.0, 1.0)
-        series.record(1.0, 2.0)
-        assert series.points == [(0.0, 1.0), (1.0, 2.0)]
-        assert series.values() == [1.0, 2.0]
-        assert series.times() == [0.0, 1.0]
-        assert len(series) == 2
-
-    def test_window(self):
-        series = TimeSeries()
-        for t in range(5):
-            series.record(float(t), t * 10.0)
-        assert series.window(1.0, 3.0) == [(1.0, 10.0), (2.0, 20.0)]

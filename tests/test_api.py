@@ -79,7 +79,7 @@ def test_top_level_convenience():
     for symbol in (
         "ProtocolSpec",
         "Simulator",
-        "build_switch_group",
+        "build_group_handle",
         "SwitchableStack",
         "ViewSwitchStack",
         "HysteresisOracle",

@@ -6,11 +6,14 @@ its parameters, so ``workers=N`` must reproduce ``workers=1`` exactly —
 down to the bytes of the merged JSON artifact.
 """
 
+import multiprocessing
 import os
 import sys
+import time
 
 import pytest
 
+from repro.errors import ShardCrashed
 from repro.workloads.experiment import Figure2Config, run_figure2_sweep
 from repro.workloads.parallel import (
     default_workers,
@@ -34,6 +37,39 @@ def test_run_cells_preserves_definition_order():
     cells = [{"x": x} for x in range(8)]
     assert run_cells(cells, _square, workers=1) == [x * x for x in range(8)]
     assert run_cells(cells, _square, workers=4) == [x * x for x in range(8)]
+
+
+def _misbehave(cell):
+    mode = cell.get("mode")
+    if mode == "raise":
+        raise ValueError("bad cell")
+    if mode == "exit":
+        os._exit(7)
+    if mode == "hang":
+        time.sleep(60)
+    return cell["x"]
+
+
+@pytest.mark.parametrize(
+    "mode, exitcode, detail",
+    [
+        ("raise", 1, "ValueError: bad cell"),
+        ("exit", 7, "exited before replying"),
+        ("hang", None, "timed out"),
+    ],
+    ids=["raise", "exit", "hang"],
+)
+def test_run_cells_names_the_failed_cell(mode, exitcode, detail):
+    cells = [{"x": x} for x in range(4)]
+    cells[2]["mode"] = mode
+    start = time.monotonic()
+    with pytest.raises(ShardCrashed) as excinfo:
+        run_cells(cells, _misbehave, workers=2, timeout=1)
+    assert time.monotonic() - start < 10
+    assert excinfo.value.shard == 2
+    assert excinfo.value.exitcode == exitcode
+    assert detail in excinfo.value.detail
+    assert multiprocessing.active_children() == []
 
 
 def test_default_workers_clamps():
